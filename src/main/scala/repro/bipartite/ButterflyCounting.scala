@@ -165,8 +165,8 @@ object ButterflyCounting {
         new java.util.concurrent.Callable[Unit] { def call(): Unit = processRange(from, until) }
       }
       import scala.jdk.CollectionConverters._
-      pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-      pool.shutdown()
+      try pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
+      finally pool.shutdown()
     }
 
     val cntU = Array.tabulate(g.nU)(u => cnt.get(u))

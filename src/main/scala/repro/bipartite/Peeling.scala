@@ -1,6 +1,9 @@
 package repro.bipartite
 
+import java.util.concurrent.{Callable, ExecutorService}
 import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLongArray}
+import scala.collection.mutable.ArrayBuilder
+import scala.jdk.CollectionConverters._
 
 /** Unboxed binary min-heap of packed longs. Peeling kernels pack
   * `(support << IdBits) | vertexId` so the heap orders by support first
@@ -76,8 +79,9 @@ object Peeling {
   * provided each caller passes its own `wdg`/`touched` scratch. Callers must
   * mark the whole batch dead (`markPeeled`) before issuing updates so
   * intra-batch updates are skipped (they are irrelevant by lemma 2).
+  * [[peelBatch]] is that parallel round, split over `threads` workers.
   */
-final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
+final class PeelState(val g: BipartiteGraph, enableDGM: Boolean, threads: Int = 1) {
   import Peeling._
 
   require(g.nU < (1 << IdBits), s"nU=${g.nU} exceeds heap id space")
@@ -104,8 +108,6 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
     var u = 0
     while (u < g.nU) { sup.set(u, init(u)); u += 1 }
   }
-
-  def supportsSnapshot(): Array[Long] = Array.tabulate(g.nU)(sup.get)
 
   /** Stored traversal cost of peeling `u` now: Σ_{v∈N_u} storedLen(v). */
   def storedPeelCost(u: Int): Long = {
@@ -182,6 +184,55 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean) {
       k += 1
     }
     wedges
+  }
+
+  private lazy val scratchW = Array.fill(threads)(new Array[Int](g.nU))
+  private lazy val scratchT = Array.fill(threads)(new Array[Int](g.nU))
+  private lazy val touchedFlag = new Array[Boolean](g.nU)
+
+  /** One synchronization round of batch peeling (ParB's round and CD's range
+    * peel): `update` for `batch(0 until n)`, split into `threads` chunks on
+    * `pool`, each with its own scratch, all decrements capped at `floor`.
+    * The batch must already be marked peeled. Charges the round's wedges to
+    * DGM and returns them with the distinct vertices whose support changed.
+    * Capped decrements commute, so neither supports nor wedges depend on the
+    * order or the chunking of the batch.
+    */
+  def peelBatch(batch: Array[Int], n: Int, floor: Long, pool: ExecutorService): (Long, Array[Int]) = {
+    val chunk = math.max(1, (n + threads - 1) / threads)
+    // ofInt builders fed through addOne(Int), so touched ids are not boxed
+    val touched = Array.fill(threads)(new ArrayBuilder.ofInt)
+    val tasks = (0 until threads).filter(_ * chunk < n).map { t =>
+      new Callable[Long] {
+        def call(): Long = {
+          var w = 0L
+          var k = t * chunk
+          val until = math.min(n, k + chunk)
+          val buf = touched(t)
+          while (k < until) {
+            w += update(batch(k), floor, scratchW(t), scratchT(t), (u2, _) => buf.addOne(u2))
+            k += 1
+          }
+          w
+        }
+      }
+    }
+    val wedges = pool.invokeAll(tasks.asJava).asScala.map(_.get()).sum
+    chargeWedges(wedges)
+    val distinct = new ArrayBuilder.ofInt
+    for (buf <- touched) {
+      val ts = buf.result()
+      var k = 0
+      while (k < ts.length) {
+        val u2 = ts(k)
+        if (!touchedFlag(u2)) { touchedFlag(u2) = true; distinct.addOne(u2) }
+        k += 1
+      }
+    }
+    val out = distinct.result()
+    var k = 0
+    while (k < out.length) { touchedFlag(out(k)) = false; k += 1 }
+    (wedges, out)
   }
 
   /** Charge `w` traversed wedges against the DGM budget and compact the

@@ -1,12 +1,12 @@
 package repro.bipartite
 
 import java.util.concurrent.{Callable, Executors}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import scala.jdk.CollectionConverters._
 
 /** Shared-memory RECEIPT (algs. 3 + 4) — the paper's algorithm verbatim:
   *
-  *  - **CD** partitions U into ≤ P+1 subsets of non-overlapping tip-number
+  *  - **CD** ([[CoarseDecomposition]] with the local round backend)
+  *    partitions U into ≤ P+1 subsets of non-overlapping tip-number
   *    ranges. Each peeling iteration removes *every* live vertex whose
   *    support falls inside the current range; upper bounds come from a
   *    support-histogram prefix-sum over per-vertex wedge counts with two-way
@@ -19,7 +19,7 @@ import scala.jdk.CollectionConverters._
   *  - **FD** peels each subset exactly with sequential [[BUP.peel]] on the
   *    subgraph induced by `(U_i, V)`, supports seeded from `⋈^init`;
   *    subsets are scheduled LPT-style (sorted by wedge-count proxy,
-  *    descending) onto a dynamic task queue drained by `threads` workers.
+  *    descending) onto a task queue drained by `threads` workers.
   */
 object ReceiptLocal {
 
@@ -64,222 +64,81 @@ object ReceiptLocal {
 
   final case class Result(tips: Array[Long], metrics: Metrics, cd: CDResult)
 
+  /** The run's metrics from its CD result and FD's wedges and time. */
+  def metrics(cd: CDResult, fdWedges: Long, fdTimeMs: Double): Metrics =
+    Metrics(
+      cntInitWedges = cd.cntInitWedges, hucWedges = cd.hucWedges,
+      cdPeelWedges = cd.peelWedges, fdWedges = fdWedges,
+      rounds = cd.rounds, subsets = cd.subsets, hucTriggers = cd.hucTriggers,
+      cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, fdTimeMs = fdTimeMs
+    )
+
   def run(g: BipartiteGraph, cfg: Config = Config()): Result = {
     val cd = coarseDecomposition(g, cfg)
     val t0 = System.nanoTime()
     val (tips, fdWedges) = fineDecomposition(g, cd, cfg)
-    val t1 = System.nanoTime()
-    Result(
-      tips,
-      Metrics(
-        cntInitWedges = cd.cntInitWedges, hucWedges = cd.hucWedges,
-        cdPeelWedges = cd.peelWedges, fdWedges = fdWedges,
-        rounds = cd.rounds, subsets = cd.subsets, hucTriggers = cd.hucTriggers,
-        cntTimeMs = cd.cntTimeMs, cdTimeMs = cd.peelTimeMs, fdTimeMs = (t1 - t0) / 1e6
-      ),
-      cd
-    )
+    Result(tips, metrics(cd, fdWedges, (System.nanoTime() - t0) / 1e6), cd)
   }
 
-  // ---------------------------------------------------------------- CD ----
-
+  /** CD on the shared-memory backend: peel rounds are [[PeelState.peelBatch]]
+    * with DGM, HUC re-counts run [[ButterflyCounting.vertexPriority]] on the
+    * live induced subgraph, and HUC's peel cost is the stored traversal cost
+    * (stale entries included when DGM is off).
+    */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
-    val nU = g.nU
-    val tCnt0 = System.nanoTime()
+    val t0 = System.nanoTime()
     val counts = ButterflyCounting.vertexPriority(g, cfg.threads)
-    val tCnt1 = System.nanoTime()
-
-    val st = new PeelState(g, cfg.enableDGM)
+    val cntTimeMs = (System.nanoTime() - t0) / 1e6
+    val st = new PeelState(g, cfg.enableDGM, cfg.threads)
     st.setSupports(counts.cntU)
-
-    val w = g.wedgeEndpointCountU // static wedge-count proxy, per paper
-    val subsetOf = Array.fill(nU)(-1)
-    val supInit = new Array[Long](nU)
-    val loBuf = scala.collection.mutable.ArrayBuffer[Long]()
-    val hiBuf = scala.collection.mutable.ArrayBuffer[Long]()
-    val swBuf = scala.collection.mutable.ArrayBuffer[Long]()
-
-    var hucWedges = 0L
-    var peelWedges = 0L
-    var rounds = 0L
-    var hucTriggers = 0
-    var cRcntCache = g.countCost
-
     val pool = Executors.newFixedThreadPool(cfg.threads)
-    val scratchW = Array.fill(cfg.threads)(new Array[Int](nU))
-    val scratchT = Array.fill(cfg.threads)(new Array[Int](nU))
-    val touchedFlag = new Array[Boolean](nU)
-
-    var lo = 0L
-    var i = 0
-    var scale = 1.0
-    var remainingWedges = w.sum
-
-    while (st.aliveCount > 0) {
-      // ---- range upper bound (findHi with two-way adaptive target) ----
-      var tgt = 0L
-      val hi =
-        if (i >= cfg.P) Long.MaxValue // leftover subset U_{P+1}
-        else {
-          tgt = math.max(1L, (scale * remainingWedges / (cfg.P - i)).toLong)
-          findHi(st, w, tgt)
-        }
-      // ---- ⋈^init snapshot: support before any vertex of U_i is peeled ----
-      var u = 0
-      while (u < nU) { if (st.alive(u)) supInit(u) = st.sup.get(u); u += 1 }
-
-      var subsetW = 0L
-      var active = scanActive(st, hi)
-
-      while (active.nonEmpty) {
-        // ---- HUC decision: stored peel cost vs re-count bound ----
-        var cPeel = 0L
-        if (cfg.enableHUC) active.foreach(u0 => cPeel += st.storedPeelCost(u0))
-
-        if (cfg.enableHUC && cPeel > cRcntCache) {
-          hucTriggers += 1
-          active.foreach { u0 =>
-            subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0)
-          }
-          val liveG = g.filterU(st.alive)
-          val rc = ButterflyCounting.vertexPriority(liveG, cfg.threads)
-          var u2 = 0
-          while (u2 < nU) { if (st.alive(u2)) st.sup.set(u2, rc.cntU(u2)); u2 += 1 }
-          hucWedges += rc.wedges
-          cRcntCache = st.recountCost
-          rounds += 1
-          active = scanActive(st, hi)
-        } else {
-          active.foreach { u0 => subsetOf(u0) = i; subsetW += w(u0); st.markPeeled(u0) }
-          val roundWedges = new AtomicLong(0L)
-          val perThreadTouched = Array.fill(cfg.threads)(new scala.collection.mutable.ArrayBuffer[Int]())
-          val nB = active.length
-          val chunk = math.max(1, (nB + cfg.threads - 1) / cfg.threads)
-          val loCap = lo
-          val tasks = (0 until cfg.threads).flatMap { t =>
-            val from = t * chunk; val until = math.min(nB, from + chunk)
-            if (from >= until) None
-            else Some(new Callable[Unit] {
-              def call(): Unit = {
-                var wsum = 0L
-                var k = from
-                val buf = perThreadTouched(t)
-                while (k < until) {
-                  wsum += st.update(active(k), loCap, scratchW(t), scratchT(t), (u2, _) => buf += u2)
-                  k += 1
-                }
-                roundWedges.addAndGet(wsum)
-                ()
-              }
-            })
-          }
-          pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-          peelWedges += roundWedges.get()
-          st.chargeWedges(roundWedges.get())
-          rounds += 1
-          // next active set: distinct touched vertices now inside the range
-          val next = scala.collection.mutable.ArrayBuffer[Int]()
-          perThreadTouched.foreach(_.foreach { u2 =>
-            if (!touchedFlag(u2) && st.alive(u2) && st.sup.get(u2) < hi) {
-              touchedFlag(u2) = true; next += u2
-            }
-          })
-          next.foreach(touchedFlag(_) = false)
-          active = next.toArray
-        }
+    val local = new CoarseDecomposition.Rounds {
+      def peelCost(active: Array[Int]): Long = {
+        var s = 0L
+        active.foreach(u => s += st.storedPeelCost(u))
+        s
       }
-
-      loBuf += lo; hiBuf += hi; swBuf += subsetW
-      if (i < cfg.P && subsetW > 0) scale = math.min(1.0, tgt.toDouble / subsetW.toDouble)
-      remainingWedges -= subsetW
-      lo = hi
-      i += 1
+      def peel(active: Array[Int], floor: Long): Long = st.peelBatch(active, active.length, floor, pool)._1
+      def recount(active: Array[Int]): (Array[Long], Long) = {
+        val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), cfg.threads)
+        (rc.cntU, rc.wedges)
+      }
     }
-    pool.shutdown()
-    val tPeel1 = System.nanoTime()
-
-    CDResult(
-      subsetOf, supInit, loBuf.toArray, hiBuf.toArray, swBuf.toArray,
-      cntInitWedges = counts.wedges, hucWedges = hucWedges, peelWedges = peelWedges,
-      rounds = rounds, hucTriggers = hucTriggers,
-      cntTimeMs = (tCnt1 - tCnt0) / 1e6, peelTimeMs = (tPeel1 - tCnt1) / 1e6
-    )
-  }
-
-  /** All live vertices with support below `hi` (supports are ≥ the current
-    * range floor by the cap invariant). Shared with the Spark CD driver.
-    */
-  def scanActive(st: PeelState, hi: Long): Array[Int] = {
-    val b = new scala.collection.mutable.ArrayBuffer[Int]()
-    var u = 0
-    while (u < st.g.nU) { if (st.alive(u) && st.sup.get(u) < hi) b += u; u += 1 }
-    b.toArray
-  }
-
-  /** `findHi` of alg. 3: aggregate wedge counts into a support histogram,
-    * prefix-sum in ascending support order, return `θ + 1` for the smallest
-    * support θ whose cumulative wedge count reaches `tgt`.
-    */
-  def findHi(st: PeelState, w: Array[Long], tgt: Long): Long = {
-    val pairs = new scala.collection.mutable.ArrayBuffer[(Long, Long)]()
-    var u = 0
-    while (u < st.g.nU) { if (st.alive(u)) pairs += ((st.sup.get(u), w(u))); u += 1 }
-    val sorted = pairs.sortBy(_._1)
-    var cum = 0L
-    var theta = sorted.last._1 // fall back to max support if tgt unreachable
-    var k = 0
-    var found = false
-    while (k < sorted.length && !found) {
-      cum += sorted(k)._2
-      if (cum >= tgt) { theta = sorted(k)._1; found = true }
-      k += 1
-    }
-    theta + 1
+    try CoarseDecomposition.run(st, cfg.P, cfg.enableHUC, local, counts.wedges, cntTimeMs)
+    finally pool.shutdown()
   }
 
   // ---------------------------------------------------------------- FD ----
 
-  /** Alg. 4: dynamic task queue over subsets, LPT-ordered by the CD wedge
-    * proxy; each task induces the subgraph on `(U_i, V)` and runs exact
-    * sequential BUP seeded from `⋈^init`. Returns tips and FD wedges.
+  /** Alg. 4: subsets are tasks on a pool of `threads` workers, submitted in
+    * LPT order of the CD wedge proxy (the pool's queue is FIFO, so each idle
+    * worker takes the largest remaining subset); each task induces the
+    * subgraph on `(U_i, V)` and runs exact sequential BUP seeded from
+    * `⋈^init`. Returns tips and FD wedges; a failed task fails the call.
     */
   def fineDecomposition(g: BipartiteGraph, cd: CDResult, cfg: Config): (Array[Long], Long) = {
     val tips = Array.fill[Long](g.nU)(-1L)
-    val members = Array.fill(cd.subsets)(new scala.collection.mutable.ArrayBuffer[Int]())
+    val members = Array.fill(cd.subsets)(Array.newBuilder[Int])
     var u = 0
     while (u < g.nU) { if (cd.subsetOf(u) >= 0) members(cd.subsetOf(u)) += u; u += 1 }
 
-    // workload-aware scheduling: largest wedge proxy first
-    val order = (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).toArray
-    val nextTask = new AtomicInteger(0)
-    val fdWedges = new AtomicLong(0L)
-    val tipsLock = new Object
-
-    val workers = (0 until math.max(1, cfg.threads)).map { _ =>
-      new Thread(() => {
-        var done = false
-        while (!done) {
-          val k = nextTask.getAndIncrement()
-          if (k >= order.length) done = true
+    val tasks = (0 until cd.subsets).sortBy(i => -cd.subsetWedgeW(i)).map { i =>
+      new Callable[Long] {
+        def call(): Long = {
+          val ms = members(i).result()
+          if (ms.isEmpty) 0L
           else {
-            val i = order(k)
-            val ms = members(i).toArray
-            if (ms.nonEmpty) {
-              val aliveMask = new Array[Boolean](g.nU)
-              ms.foreach(aliveMask(_) = true)
-              val induced = g.filterU(aliveMask)
-              val r = BUP.peel(induced, cd.supInit, ms, enableDGM = cfg.enableDGM)
-              fdWedges.addAndGet(r.metrics.peelWedges)
-              tipsLock.synchronized {
-                ms.foreach(u0 => tips(u0) = r.tips(u0))
-              }
-            }
+            val aliveMask = new Array[Boolean](g.nU)
+            ms.foreach(aliveMask(_) = true)
+            val r = BUP.peel(g.filterU(aliveMask), cd.supInit, ms, enableDGM = cfg.enableDGM)
+            ms.foreach(u0 => tips(u0) = r.tips(u0)) // subsets are disjoint
+            r.metrics.peelWedges
           }
         }
-      })
+      }
     }
-    workers.foreach(_.start())
-    workers.foreach(_.join())
-    (tips, fdWedges.get())
+    val pool = Executors.newFixedThreadPool(math.max(1, cfg.threads))
+    try (tips, pool.invokeAll(tasks.asJava).asScala.map(_.get()).sum)
+    finally pool.shutdown()
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.bipartite.BipartiteGraph
 
@@ -23,15 +23,10 @@ object BipartiteDF {
     edges.groupBy("u").agg(count(lit(1)) as "du")
 
   /** Σ_v C(d_v, 2): wedges with both endpoints in U. */
-  def wedgesEndpointsU(edges: DataFrame): Long =
-    degreesV(edges)
-      .agg(sum(col("dv") * (col("dv") - 1) / 2) as "w")
-      .collect()(0).getAs[Any]("w") match {
-        case null          => 0L
-        case d: java.math.BigDecimal => d.longValueExact()
-        case l: Long       => l
-        case d: Double     => d.toLong
-      }
+  def wedgesEndpointsU(edges: DataFrame): Long = {
+    val r = degreesV(edges).agg(sum(SparkButterfly.choose2(col("dv")))).head()
+    if (r.isNullAt(0)) 0L else r.getLong(0) // the sum of no rows is null
+  }
 
   /** Collect a DataFrame of edges into a local [[BipartiteGraph]]. */
   def toLocal(edges: DataFrame, nU: Int, nV: Int): BipartiteGraph = {
@@ -46,10 +41,4 @@ object BipartiteDF {
     */
   def transposed(edges: DataFrame): DataFrame =
     edges.select(col("v") as "u", col("u") as "v")
-
-  /** A dataset of longs usable as a join key set. */
-  def keySet(spark: SparkSession, name: String, keys: Iterable[Long]): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(keys.toSeq).toDF(name)
-  }
 }

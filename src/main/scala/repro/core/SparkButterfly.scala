@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Per-vertex butterfly counting as a Catalyst dataflow — alg. 1 of the
@@ -51,13 +51,17 @@ object SparkButterfly {
       .select("sp", "mp", "ep")
   }
 
+  /** `C(c, 2)` in integer arithmetic (`/` would make it a Double). */
+  def choose2(c: Column): Column = shiftright(c * (c - 1), 1)
+
   /** Per-vertex counts `(node, cnt)` in combined id space (non-zero only). */
-  def countsDF(edges: DataFrame): DataFrame = {
-    val w = wedges(edges)
+  def countsDF(edges: DataFrame): DataFrame = countsOf(wedges(edges))
+
+  private def countsOf(w: DataFrame): DataFrame = {
     val pairC = w.groupBy("sp", "ep").agg(count(lit(1)) as "c")
     val same = pairC
-      .select(col("sp") as "node", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairC.select(col("ep") as "node", (col("c") * (col("c") - 1) / 2) as "b"))
+      .select(col("sp") as "node", choose2(col("c")) as "b")
+      .union(pairC.select(col("ep") as "node", choose2(col("c")) as "b"))
     val mid = w
       .join(pairC, Seq("sp", "ep"))
       .select(col("mp") as "node", (col("c") - 1) as "b")
@@ -72,32 +76,17 @@ object SparkButterfly {
     */
   def perVertex(spark: SparkSession, edges: DataFrame, nU: Int, nV: Int): Result = {
     val w = wedges(edges).cache()
-    val wedgeRows = w.count()
-    val cntU = new Array[Long](nU)
-    val cntV = new Array[Long](nV)
-    val pairC = w.groupBy("sp", "ep").agg(count(lit(1)) as "c")
-    val same = pairC
-      .select(col("sp") as "node", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairC.select(col("ep") as "node", (col("c") * (col("c") - 1) / 2) as "b"))
-    val mid = w
-      .join(pairC, Seq("sp", "ep"))
-      .select(col("mp") as "node", (col("c") - 1) as "b")
-    same.union(mid)
-      .groupBy("node")
-      .agg(sum("b") as "cnt")
-      .where(col("cnt") > 0)
-      .collect()
-      .foreach { r =>
+    try {
+      val wedgeRows = w.count()
+      val cntU = new Array[Long](nU)
+      val cntV = new Array[Long](nV)
+      countsOf(w).collect().foreach { r =>
         val node = r.getLong(0)
-        val cnt = r.getAs[Any](1) match {
-          case l: Long                 => l
-          case d: java.math.BigDecimal => d.longValueExact()
-          case d: Double               => d.toLong
-        }
+        val cnt = r.getLong(1)
         if (node % 2 == 0) cntU((node / 2).toInt) = cnt else cntV(((node - 1) / 2).toInt) = cnt
       }
-    w.unpersist()
-    Result(cntU, cntV, wedgeRows)
+      Result(cntU, cntV, wedgeRows)
+    } finally w.unpersist()
   }
 
   /** Naive pair-join counts for the U side — `(u, cnt)`, non-zero rows only.
@@ -110,8 +99,8 @@ object SparkButterfly {
     val pairs = e1.join(e2, "v").where(col("u1") < col("u2"))
       .groupBy("u1", "u2").agg(count(lit(1)) as "c")
       .where(col("c") >= 2)
-    pairs.select(col("u1") as "u", (col("c") * (col("c") - 1) / 2) as "b")
-      .union(pairs.select(col("u2") as "u", (col("c") * (col("c") - 1) / 2) as "b"))
+    pairs.select(col("u1") as "u", choose2(col("c")) as "b")
+      .union(pairs.select(col("u2") as "u", choose2(col("c")) as "b"))
       .groupBy("u").agg(sum("b") as "cnt")
   }
 }

@@ -156,4 +156,10 @@ class ReceiptLocalSpec extends AnyFunSuite {
     assert(r.tips.toSeq == BUP.run(g).tips.toSeq)
     assert(r.cd.subsets <= 2)
   }
+
+  test("a failing FD task fails fineDecomposition instead of leaving tips at -1") {
+    val g = BipartiteGraph.random(60, 40, 500, seed = 43)
+    val cd = ReceiptLocal.coarseDecomposition(g, cfg(4))
+    intercept[Exception](ReceiptLocal.fineDecomposition(g, cd.copy(supInit = Array.emptyLongArray), cfg(4)))
+  }
 }

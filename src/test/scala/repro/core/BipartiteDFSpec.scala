@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{BipartiteGen, SparkSpec}
-import repro.bipartite.BipartiteGraph
 
 class BipartiteDFSpec extends SparkSpec {
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.{BipartiteGen, Oracle, SparkSpec}
 import repro.bipartite.{BipartiteGraph, ButterflyCounting}
 
@@ -22,6 +23,11 @@ class SparkButterflySpec extends SparkSpec {
     SparkButterfly.countsDF(edges)
       .where(col("node") % 2 === 0)
       .select((col("node") / 2).cast("long") as "u", col("cnt").cast("long") as "cnt")
+
+  test("per-vertex counts are computed in integer arithmetic") {
+    val (_, df) = BipartiteGen.randomWithDF(spark, 30, 20, 150, seed = 5)
+    assert(SparkButterfly.countsDF(df).schema("cnt").dataType == LongType)
+  }
 
   test("priority dataflow counts match DuckDB oracle on random graphs") {
     for (seed <- 0 until 3) {

@@ -114,4 +114,13 @@ class SparkReceiptSpec extends SparkSpec {
     val rec = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(6, huc = false))
     assert(rec.metrics.fdWedges <= rec.metrics.cdPeelWedges)
   }
+
+  test("without HUC, Spark and local RECEIPT take the same rounds and subsets") {
+    val (g, df) = BipartiteGen.randomWithDF(spark, 150, 100, 1800, seed = 13)
+    val local = ReceiptLocal.run(g, ReceiptLocal.Config(P = 5, threads = 4, enableHUC = false))
+    val dist = SparkReceipt.run(spark, df, g.nU, g.nV, cfg(5, huc = false))
+    assert(dist.metrics.rounds == local.metrics.rounds)
+    assert(dist.metrics.subsets == local.metrics.subsets)
+    assert(dist.tips.toSeq == local.tips.toSeq)
+  }
 }
