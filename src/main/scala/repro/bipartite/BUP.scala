@@ -53,7 +53,9 @@ object BUP {
     * (indexed by vertex id). Vertices outside `members` are treated as
     * absent — callers pass an induced subgraph whose other U vertices have
     * empty adjacency (RECEIPT FD) or the full vertex set (baseline BUP).
-    * Returns tips (entries for non-members are -1).
+    * Returns tips (entries for non-members are -1). Throws
+    * `IllegalArgumentException` if a member's support is ≥ 2^42
+    * ([[Peeling.MaxSup]]), which the packed heap key cannot hold.
     */
   def peel(g: BipartiteGraph, initSup: Array[Long], members: Array[Int],
            enableDGM: Boolean): TipResult = {
@@ -66,7 +68,8 @@ object BUP {
     while (u < g.nU) { if (!inSet(u)) st.alive(u) = false; u += 1 }
 
     val heap = new LongMinHeap(members.length + 16)
-    members.foreach { v => st.sup.set(v, initSup(v)); heap.push(pack(initSup(v), v)) }
+    // supports only decrease, so checking the initial ones covers every push
+    members.foreach { v => requirePackable(initSup(v), v); st.sup.set(v, initSup(v)); heap.push(pack(initSup(v), v)) }
 
     val tips = Array.fill[Long](g.nU)(-1L)
     val wdg = new Array[Int](g.nU)

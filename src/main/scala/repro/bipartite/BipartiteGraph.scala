@@ -108,16 +108,37 @@ final class BipartiteGraph(
 
   /** Subgraph keeping only `U` vertices with `aliveU(u)`; vertex ids are
     * preserved (dead vertices keep empty adjacency). V side shrinks
-    * accordingly. Used for HUC re-counting and DGM compaction.
+    * accordingly. Built in two passes over the mask (count, then fill), it
+    * equals `fromPacked` of the kept edges in CSR order. Used by FD.
     */
   def filterU(aliveU: Array[Boolean]): BipartiteGraph = {
-    val es = new scala.collection.mutable.ArrayBuffer[Long](m)
+    val fOff = new Array[Int](nU + 1)
+    val fvOff = new Array[Int](nV + 1)
     var u = 0
     while (u < nU) {
-      if (aliveU(u)) foreachNbrU(u)(v => es += ((u.toLong << 32) | (v & 0xffffffffL)))
+      fOff(u + 1) = fOff(u)
+      if (aliveU(u)) {
+        fOff(u + 1) += degU(u)
+        var i = uOff(u)
+        while (i < uOff(u + 1)) { fvOff(uAdj(i) + 1) += 1; i += 1 }
+      }
       u += 1
     }
-    BipartiteGraph.fromPacked(nU, nV, es.toArray, dedup = false)
+    var v = 0
+    while (v < nV) { fvOff(v + 1) += fvOff(v); v += 1 }
+    val fAdj = new Array[Int](fOff(nU))
+    val fvAdj = new Array[Int](fOff(nU))
+    val vFill = java.util.Arrays.copyOf(fvOff, nV)
+    u = 0
+    while (u < nU) {
+      if (aliveU(u)) {
+        System.arraycopy(uAdj, uOff(u), fAdj, fOff(u), degU(u))
+        var i = uOff(u)
+        while (i < uOff(u + 1)) { val v2 = uAdj(i); fvAdj(vFill(v2)) = u; vFill(v2) += 1; i += 1 }
+      }
+      u += 1
+    }
+    new BipartiteGraph(nU, nV, fOff, fAdj, fvOff, fvAdj)
   }
 
   /** Mirror image of the graph: swaps the roles of U and V. */

@@ -1,6 +1,8 @@
 package repro.bipartite
 
-import java.util.concurrent.atomic.AtomicLongArray
+import java.util.concurrent.{Callable, ExecutorService, Executors}
+import java.util.concurrent.atomic.AtomicInteger
+import scala.jdk.CollectionConverters._
 
 /** Result of a counting pass: per-vertex butterfly counts for both sides and
   * the number of wedges actually traversed (the paper's Λ^pvBcnt metric).
@@ -15,13 +17,21 @@ final case class ButterflyCounts(cntU: Array[Long], cntV: Array[Long], wedges: L
 
 /** Per-vertex butterfly counting.
   *
-  * `vertexPriority` implements the paper's alg. 1 (Chiba–Nishizeki wedge
-  * retrieval with the cache-efficient degree-descending relabeling of Wang et
-  * al.): only wedges `(sp, mp, ep)` whose endpoint `ep` has higher priority
-  * (larger degree) than both `sp` and `mp` are traversed, giving
-  * `O(Σ_{(u,v)∈E} min(d_u, d_v))` total wedges instead of `O(Σ_v d_v²)`.
+  * `vertexPriority` implements the paper's alg. 1: Chiba–Nishizeki wedge
+  * retrieval with the degree-descending relabelling of Wang et al. ("Vertex
+  * Priority Based Butterfly Counting", VLDB 2019). Nodes of U ∪ V are
+  * renumbered by rank (rank 0 = highest degree, ties by id) and each
+  * adjacency list holds ranks in ascending order, so only wedges
+  * `(sp, mp, ep)` with `ep < min(sp, mp)` in rank ids are traversed, and the
+  * inner loop stops at the first endpoint that breaks that condition. This
+  * gives `O(Σ_{(u,v)∈E} min(d_u, d_v))` wedges instead of `O(Σ_v d_v²)`.
   * A two-pass formulation replaces the `nzw` wedge log of the pseudocode so
   * no per-start-vertex wedge list is materialized.
+  *
+  * `vertexPriorityLive` counts the subgraph induced by a mask of live U
+  * vertices straight from the full graph (RECEIPT's HUC re-count); it builds
+  * the same relabelled graph, and so yields the same counts and wedges, as
+  * `vertexPriority(g.filterU(aliveU))`.
   *
   * `bruteForce` enumerates same-side pair common-neighbour counts with
   * hashmaps — `O(Σ_v d_v²)` — and exists as an oracle for tests.
@@ -30,121 +40,141 @@ object ButterflyCounting {
 
   @inline private def choose2(c: Long): Long = c * (c - 1) / 2
 
-  /** Combined-node-space view used by the priority algorithm: node ids are
-    * `u` for U and `nU + v` for V; `rank(node)` is the position in the
-    * degree-descending order (rank 0 = highest degree, ties by id) and each
-    * adjacency list is pre-sorted by ascending rank so the inner loop can
-    * break at the first endpoint that violates the priority condition.
-    */
-  private final class Combined(g: BipartiteGraph) {
-    val n: Int            = g.nU + g.nV
-    val rank: Array[Int]  = new Array[Int](n)
-    val off: Array[Int]   = new Array[Int](n + 1)
-    val adj: Array[Int]   = new Array[Int](2 * g.m)
+  /** Below this many nodes a count runs on the calling thread. */
+  private val ParallelMinNodes = 1024
 
-    {
-      val deg = new Array[Int](n)
-      var i = 0
-      while (i < g.nU) { deg(i) = g.degU(i); i += 1 }
-      i = 0
-      while (i < g.nV) { deg(g.nU + i) = g.degV(i); i += 1 }
-      val order = Array.tabulate(n)(identity)
-      // degree descending, id ascending for ties
-      val boxed = order.map(Integer.valueOf)
-      java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => {
-        val c = java.lang.Integer.compare(deg(b), deg(a))
-        if (c != 0) c else java.lang.Integer.compare(a, b)
-      })
-      i = 0
-      while (i < n) { rank(boxed(i)) = i; i += 1 }
-      i = 0
-      while (i < n) { off(i + 1) = off(i) + deg(i); i += 1 }
-      val fill = java.util.Arrays.copyOf(off, n)
-      var u = 0
-      while (u < g.nU) {
-        g.foreachNbrU(u) { v =>
-          val a = u; val b = g.nU + v
-          adj(fill(a)) = b; fill(a) += 1
-          adj(fill(b)) = a; fill(b) += 1
-        }
-        u += 1
+  /** The relabelled graph in the combined node space (`u` for U, `nU + v`
+    * for V, dead U vertices kept with no edges): `rank(node)` is the node's
+    * position in the degree-descending order and `off`/`adj` the CSR over
+    * ranks, each list ascending.
+    */
+  private final class Ranked(val n: Int, val rank: Array[Int], val off: Array[Int], val adj: Array[Int])
+
+  private def ranked(g: BipartiteGraph, aliveU: Array[Boolean], parallel: Boolean, pool: ExecutorService): Ranked = {
+    val nU = g.nU
+    val n = nU + g.nV
+    val deg = new Array[Int](n)
+    var u = 0
+    while (u < nU) {
+      if (aliveU(u)) {
+        deg(u) = g.degU(u)
+        var i = g.uOff(u)
+        while (i < g.uOff(u + 1)) { deg(nU + g.uAdj(i)) += 1; i += 1 }
       }
-      // sort each adjacency by ascending rank
-      i = 0
-      while (i < n) {
-        val from = off(i); val until = off(i + 1)
-        val slice = java.util.Arrays.copyOfRange(adj, from, until)
-        val sb = slice.map(Integer.valueOf)
-        java.util.Arrays.sort(sb, (a: Integer, b: Integer) => java.lang.Integer.compare(rank(a), rank(b)))
-        var k = 0
-        while (k < sb.length) { adj(from + k) = sb(k); k += 1 }
-        i += 1
+      u += 1
+    }
+    var maxDeg = 0
+    var x = 0
+    while (x < n) { maxDeg = math.max(maxDeg, deg(x)); x += 1 }
+    // degree descending, id ascending: a counting sort on maxDeg − deg,
+    // which places ids in ascending order within each degree
+    val start = new Array[Int](maxDeg + 2)
+    x = 0
+    while (x < n) { start(maxDeg - deg(x) + 1) += 1; x += 1 }
+    var b = 0
+    while (b <= maxDeg) { start(b + 1) += start(b); b += 1 }
+    val order = new Array[Int](n)
+    x = 0
+    while (x < n) { val k = maxDeg - deg(x); order(start(k)) = x; start(k) += 1; x += 1 }
+    val rank = new Array[Int](n)
+    val off = new Array[Int](n + 1)
+    var r = 0
+    while (r < n) {
+      val node = order(r)
+      rank(node) = r
+      off(r + 1) = off(r) + deg(node)
+      r += 1
+    }
+    // visiting nodes in rank order appends each list's entries in ascending
+    // rank; U nodes fill the V nodes' lists and V nodes the U nodes' lists,
+    // so the two scatters write disjoint entries and can run side by side
+    val adj = new Array[Int](off(n))
+    val fill = java.util.Arrays.copyOf(off, n)
+    val fromU: Callable[Unit] = () => {
+      var r = 0
+      while (r < n) {
+        val node = order(r)
+        if (node < nU && aliveU(node)) {
+          var i = g.uOff(node)
+          while (i < g.uOff(node + 1)) {
+            val t = rank(nU + g.uAdj(i)); adj(fill(t)) = r; fill(t) += 1
+            i += 1
+          }
+        }
+        r += 1
       }
     }
+    val fromV: Callable[Unit] = () => {
+      var r = 0
+      while (r < n) {
+        val node = order(r)
+        if (node >= nU) {
+          // stop once the node's live neighbours are all placed
+          var left = deg(node)
+          var i = g.vOff(node - nU)
+          while (left > 0) {
+            val u2 = g.vAdj(i)
+            if (aliveU(u2)) { val t = rank(u2); adj(fill(t)) = r; fill(t) += 1; left -= 1 }
+            i += 1
+          }
+        }
+        r += 1
+      }
+    }
+    if (parallel) pool.invokeAll(java.util.List.of(fromU, fromV)).asScala.foreach(_.get())
+    else { fromU.call(); fromV.call() }
+    new Ranked(n, rank, off, adj)
   }
 
-  /** Alg. 1 on graph `g`, using up to `threads` worker threads. */
-  def vertexPriority(g: BipartiteGraph, threads: Int = 1): ButterflyCounts = {
-    val c   = new Combined(g)
-    val n   = c.n
-    val cnt = new AtomicLongArray(n)
-    val wedgesTotal = new java.util.concurrent.atomic.AtomicLong(0L)
-
-    def processRange(from: Int, until: Int): Unit = {
-      val wdg = new Array[Long](n)
-      val nze = new Array[Int](n)
-      var wedges = 0L
+  /** One worker's share of alg. 1: claims chunks of start ranks from `next`
+    * and adds their butterflies to its own `cnt`. Returns wedges traversed.
+    */
+  private def countChunks(c: Ranked, next: AtomicInteger, chunk: Int, cnt: Array[Long]): Long = {
+    val off = c.off; val adj = c.adj; val n = c.n
+    val wdg = new Array[Int](n)
+    val nze = new Array[Int](n)
+    var wedges = 0L
+    var from = next.getAndAdd(chunk)
+    while (from < n) {
+      val until = math.min(n, from + chunk)
       var sp = from
       while (sp < until) {
-        val rsp = c.rank(sp)
         var nNze = 0
         // pass 1: aggregate wedge counts per endpoint
-        var i = c.off(sp)
-        var spAdd = 0L
-        while (i < c.off(sp + 1)) {
-          val mp  = c.adj(i)
-          val rmp = c.rank(mp)
-          var j = c.off(mp)
-          val jEnd = c.off(mp + 1)
-          var break = false
-          while (j < jEnd && !break) {
-            val ep = c.adj(j)
-            val rep = c.rank(ep)
-            if (rep >= rmp || rep >= rsp) break = true
-            else {
-              if (wdg(ep) == 0) { nze(nNze) = ep; nNze += 1 }
-              wdg(ep) += 1
-              wedges += 1
-              j += 1
-            }
+        var i = off(sp)
+        while (i < off(sp + 1)) {
+          val mp = adj(i)
+          val lim = math.min(mp, sp)
+          val jBeg = off(mp); val jEnd = off(mp + 1)
+          var j = jBeg
+          while (j < jEnd && adj(j) < lim) {
+            val ep = adj(j)
+            if (wdg(ep) == 0) { nze(nNze) = ep; nNze += 1 }
+            wdg(ep) += 1
+            j += 1
           }
+          wedges += j - jBeg
           i += 1
         }
         // same-side contributions
+        var spAdd = 0L
         var k = 0
         while (k < nNze) {
           val ep = nze(k)
-          val b  = choose2(wdg(ep))
-          if (b > 0) { cnt.addAndGet(ep, b); spAdd += b }
+          val b = choose2(wdg(ep).toLong)
+          cnt(ep) += b; spAdd += b
           k += 1
         }
-        if (spAdd > 0) cnt.addAndGet(sp, spAdd)
+        cnt(sp) += spAdd
         // pass 2: opposite-side (mid) contributions, using finalized wdg
-        i = c.off(sp)
-        while (i < c.off(sp + 1)) {
-          val mp  = c.adj(i)
-          val rmp = c.rank(mp)
-          var j = c.off(mp)
-          val jEnd = c.off(mp + 1)
+        i = off(sp)
+        while (i < off(sp + 1)) {
+          val mp = adj(i)
+          val lim = math.min(mp, sp)
+          var j = off(mp); val jEnd = off(mp + 1)
           var mpAdd = 0L
-          var break = false
-          while (j < jEnd && !break) {
-            val ep = c.adj(j)
-            val rep = c.rank(ep)
-            if (rep >= rmp || rep >= rsp) break = true
-            else { mpAdd += wdg(ep) - 1; j += 1 }
-          }
-          if (mpAdd > 0) cnt.addAndGet(mp, mpAdd)
+          while (j < jEnd && adj(j) < lim) { mpAdd += wdg(adj(j)) - 1; j += 1 }
+          cnt(mp) += mpAdd
           i += 1
         }
         // clear scratch
@@ -152,26 +182,53 @@ object ButterflyCounting {
         while (k < nNze) { wdg(nze(k)) = 0; k += 1 }
         sp += 1
       }
-      wedgesTotal.addAndGet(wedges)
-      ()
+      from = next.getAndAdd(chunk)
     }
+    wedges
+  }
 
-    if (threads <= 1 || n < 1024) processRange(0, n)
-    else {
-      val pool   = java.util.concurrent.Executors.newFixedThreadPool(threads)
-      val chunk  = math.max(1, (n + 4 * threads - 1) / (4 * threads))
-      val tasks  = (0 until n by chunk).map { from =>
-        val until = math.min(n, from + chunk)
-        new java.util.concurrent.Callable[Unit] { def call(): Unit = processRange(from, until) }
+  /** Alg. 1 on graph `g`, using up to `threads` worker threads. */
+  def vertexPriority(g: BipartiteGraph, threads: Int = 1): ButterflyCounts = {
+    val pool = Executors.newFixedThreadPool(math.max(1, threads)) // starts no thread until used
+    val all = new Array[Boolean](g.nU)
+    java.util.Arrays.fill(all, true)
+    try vertexPriorityLive(g, all, threads, pool)
+    finally pool.shutdown()
+  }
+
+  /** Alg. 1 on the subgraph of `g` induced by the U vertices with
+    * `aliveU(u)` (dead ones count 0), as up to `threads` tasks on `pool`.
+    */
+  def vertexPriorityLive(g: BipartiteGraph, aliveU: Array[Boolean], threads: Int,
+                         pool: ExecutorService): ButterflyCounts = {
+    val n = g.nU + g.nV
+    val workers = if (threads <= 1 || n < ParallelMinNodes) 1 else threads
+    val c = ranked(g, aliveU, workers > 1, pool)
+    // low ranks are hubs with few higher-priority endpoints, so work is
+    // skewed towards high ranks: small chunks claimed on demand balance it
+    val chunk = math.max(64, n / (16 * workers))
+    val next = new AtomicInteger(0)
+    val parts = Array.fill(workers)(new Array[Long](n))
+    val wedges =
+      if (workers == 1) countChunks(c, next, chunk, parts(0))
+      else {
+        val tasks = parts.toSeq.map(p => new Callable[Long] { def call(): Long = countChunks(c, next, chunk, p) })
+        pool.invokeAll(tasks.asJava).asScala.map(_.get()).sum
       }
-      import scala.jdk.CollectionConverters._
-      try pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-      finally pool.shutdown()
+    val cnt = parts(0)
+    var t = 1
+    while (t < workers) {
+      val p = parts(t)
+      var r = 0
+      while (r < n) { cnt(r) += p(r); r += 1 }
+      t += 1
     }
-
-    val cntU = Array.tabulate(g.nU)(u => cnt.get(u))
-    val cntV = Array.tabulate(g.nV)(v => cnt.get(g.nU + v))
-    ButterflyCounts(cntU, cntV, wedgesTotal.get())
+    val cntU = new Array[Long](g.nU)
+    val cntV = new Array[Long](g.nV)
+    var x = 0
+    while (x < g.nU) { cntU(x) = cnt(c.rank(x)); x += 1 }
+    while (x < n) { cntV(x - g.nU) = cnt(c.rank(x)); x += 1 }
+    ButterflyCounts(cntU, cntV, wedges)
   }
 
   /** Oracle: counts via same-side pair common-neighbour enumeration.

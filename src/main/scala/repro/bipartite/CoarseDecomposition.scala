@@ -113,19 +113,19 @@ object CoarseDecomposition {
     * support θ whose cumulative wedge count reaches `tgt`.
     */
   private def findHi(st: PeelState, w: Array[Long], tgt: Long): Long = {
-    val pairs = new ArrayBuffer[(Long, Long)]()
+    import Peeling._
+    val keys = new ArrayBuilder.ofLong
     var u = 0
-    while (u < st.g.nU) { if (st.alive(u)) pairs += ((st.sup.get(u), w(u))); u += 1 }
-    val sorted = pairs.sortBy(_._1)
-    var cum = 0L
-    var theta = sorted.last._1 // fall back to max support if tgt unreachable
-    var k = 0
-    var found = false
-    while (k < sorted.length && !found) {
-      cum += sorted(k)._2
-      if (cum >= tgt) { theta = sorted(k)._1; found = true }
-      k += 1
+    while (u < st.g.nU) {
+      if (st.alive(u)) { val s = st.sup.get(u); requirePackable(s, u); keys.addOne(pack(s, u)) }
+      u += 1
     }
-    theta + 1
+    val sorted = keys.result()
+    java.util.Arrays.sort(sorted) // ascending support, ties by id
+    // the first support whose cumulative wedge count reaches tgt, or the max
+    var k = 0
+    var cum = w(unpackId(sorted(0)))
+    while (cum < tgt && k < sorted.length - 1) { k += 1; cum += w(unpackId(sorted(k))) }
+    unpackSup(sorted(k)) + 1
   }
 }

@@ -24,7 +24,7 @@ object ParB {
 
     val heap = new LongMinHeap(g.nU + 16)
     var u = 0
-    while (u < g.nU) { heap.push(pack(counts.cntU(u), u)); u += 1 }
+    while (u < g.nU) { requirePackable(counts.cntU(u), u); heap.push(pack(counts.cntU(u), u)); u += 1 }
 
     val tips = Array.fill[Long](g.nU)(-1L)
     var remaining = g.nU

@@ -54,6 +54,13 @@ object Peeling {
     */
   val IdBits = 21
   val IdMask: Long = (1L << IdBits) - 1
+  /** Largest support a packed key holds, 2^42 − 1; larger ones would wrap. */
+  val MaxSup: Long = (1L << (63 - IdBits)) - 1
+
+  /** Throws `IllegalArgumentException` unless `sup` of `u` fits a packed key. */
+  def requirePackable(sup: Long, u: Int): Unit =
+    require(sup >= 0 && sup <= MaxSup,
+      s"support $sup of vertex $u is outside the packed heap key's range [0, 2^${63 - IdBits} - 1]")
 
   @inline def pack(sup: Long, u: Int): Long = (sup << IdBits) | u
   @inline def unpackSup(x: Long): Long = x >>> IdBits
@@ -124,7 +131,8 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean, threads: Int = 
     while (u < g.nU) {
       if (alive(u)) {
         val du = g.degU(u)
-        g.foreachNbrU(u)(v => s += math.min(du, curDegV.get(v)))
+        var i = g.uOff(u)
+        while (i < g.uOff(u + 1)) { s += math.min(du, curDegV.get(g.uAdj(i))); i += 1 }
       }
       u += 1
     }

@@ -81,31 +81,34 @@ object ReceiptLocal {
   }
 
   /** CD on the shared-memory backend: peel rounds are [[PeelState.peelBatch]]
-    * with DGM, HUC re-counts run [[ButterflyCounting.vertexPriority]] on the
-    * live induced subgraph, and HUC's peel cost is the stored traversal cost
-    * (stale entries included when DGM is off).
+    * with DGM, HUC re-counts run [[ButterflyCounting.vertexPriorityLive]] on
+    * the live mask, and HUC's peel cost is the stored traversal cost (stale
+    * entries included when DGM is off). The initial count, the peel rounds
+    * and the re-counts all run on one pool of `threads` workers.
     */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
-    val t0 = System.nanoTime()
-    val counts = ButterflyCounting.vertexPriority(g, cfg.threads)
-    val cntTimeMs = (System.nanoTime() - t0) / 1e6
-    val st = new PeelState(g, cfg.enableDGM, cfg.threads)
-    st.setSupports(counts.cntU)
-    val pool = Executors.newFixedThreadPool(cfg.threads)
-    val local = new CoarseDecomposition.Rounds {
-      def peelCost(active: Array[Int]): Long = {
-        var s = 0L
-        active.foreach(u => s += st.storedPeelCost(u))
-        s
+    val pool = Executors.newFixedThreadPool(math.max(1, cfg.threads))
+    try {
+      val st = new PeelState(g, cfg.enableDGM, cfg.threads)
+      val t0 = System.nanoTime()
+      // nothing is peeled yet, so this counts the whole graph
+      val counts = ButterflyCounting.vertexPriorityLive(g, st.alive, cfg.threads, pool)
+      val cntTimeMs = (System.nanoTime() - t0) / 1e6
+      st.setSupports(counts.cntU)
+      val local = new CoarseDecomposition.Rounds {
+        def peelCost(active: Array[Int]): Long = {
+          var s = 0L
+          active.foreach(u => s += st.storedPeelCost(u))
+          s
+        }
+        def peel(active: Array[Int], floor: Long): Long = st.peelBatch(active, active.length, floor, pool)._1
+        def recount(active: Array[Int]): (Array[Long], Long) = {
+          val rc = ButterflyCounting.vertexPriorityLive(g, st.alive, cfg.threads, pool)
+          (rc.cntU, rc.wedges)
+        }
       }
-      def peel(active: Array[Int], floor: Long): Long = st.peelBatch(active, active.length, floor, pool)._1
-      def recount(active: Array[Int]): (Array[Long], Long) = {
-        val rc = ButterflyCounting.vertexPriority(g.filterU(st.alive), cfg.threads)
-        (rc.cntU, rc.wedges)
-      }
-    }
-    try CoarseDecomposition.run(st, cfg.P, cfg.enableHUC, local, counts.wedges, cntTimeMs)
-    finally pool.shutdown()
+      CoarseDecomposition.run(st, cfg.P, cfg.enableHUC, local, counts.wedges, cntTimeMs)
+    } finally pool.shutdown()
   }
 
   // ---------------------------------------------------------------- FD ----

@@ -15,6 +15,16 @@ class BUPSpec extends AnyFunSuite {
     assert(r.tips.toSeq == Seq(6L, 6L, 6L))
   }
 
+  test("peel rejects a support the packed heap key cannot hold") {
+    val g = BipartiteGraph.complete(2, 2)
+    val e = intercept[IllegalArgumentException](
+      BUP.peel(g, Array.fill(2)(1L << 42), Array(0, 1), enableDGM = false))
+    assert(e.getMessage.contains("2^42"), e.getMessage)
+    // the largest packable support round-trips through the heap unwrapped
+    val top = Array.fill(2)(Peeling.MaxSup)
+    assert(BUP.peel(g, top, Array(0, 1), enableDGM = false).tips.toSeq == top.toSeq)
+  }
+
   test("butterfly-free graphs decompose to all zeros") {
     val star = BipartiteGraph.fromEdges(4, 1, (0 until 4).map(u => (u, 0)))
     assert(BUP.run(star).tips.forall(_ == 0L))

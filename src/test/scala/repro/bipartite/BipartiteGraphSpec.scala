@@ -92,6 +92,27 @@ class BipartiteGraphSpec extends AnyFunSuite {
     assert(f.m == (0 until 20).filter(alive).map(g.degU).sum)
   }
 
+  test("filterU builds the same CSR arrays as fromPacked of the kept edges") {
+    for (seed <- 0 until 10) {
+      val rnd = new java.util.Random(seed)
+      val sorted = BipartiteGraph.random(40 + seed, 30, 400, seed)
+      // unsorted adjacency lists: the same edges rebuilt in shuffled order
+      val es = sorted.packedEdges
+      for (i <- es.indices.reverse) { val j = rnd.nextInt(i + 1); val t = es(i); es(i) = es(j); es(j) = t }
+      val shuffled = BipartiteGraph.fromPacked(sorted.nU, sorted.nV, es, dedup = false)
+      for (g <- Seq(sorted, shuffled); p <- Seq(0.0, 0.4, 1.0)) {
+        val alive = Array.fill(g.nU)(rnd.nextDouble() < p)
+        val f = g.filterU(alive)
+        val kept = g.packedEdges.filter(e => alive((e >>> 32).toInt))
+        val ref = BipartiteGraph.fromPacked(g.nU, g.nV, kept, dedup = false)
+        val tag = s"seed=$seed p=$p"
+        assert(f.nU == ref.nU && f.nV == ref.nV, tag)
+        assert(f.uOff.toSeq == ref.uOff.toSeq && f.uAdj.toSeq == ref.uAdj.toSeq, tag)
+        assert(f.vOff.toSeq == ref.vOff.toSeq && f.vAdj.toSeq == ref.vAdj.toSeq, tag)
+      }
+    }
+  }
+
   test("packedEdges round-trips") {
     val g = BipartiteGraph.random(25, 25, 120, seed = 9)
     val g2 = BipartiteGraph.fromPacked(25, 25, g.packedEdges, dedup = true)

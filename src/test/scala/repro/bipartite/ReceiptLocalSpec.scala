@@ -68,6 +68,24 @@ class ReceiptLocalSpec extends AnyFunSuite {
       s"HUC should reduce traversal: ${withHuc.metrics.totalWedges} vs ${noHuc.metrics.totalWedges}")
   }
 
+  test("HUC on a graph of ≥ 1024 nodes: 1 and 4 threads give equal tips, wedges and rounds") {
+    val rnd = new java.util.Random(7)
+    val es = (0 until 6000).map { _ =>
+      val v = if (rnd.nextDouble() < 0.85) rnd.nextInt(3) else 3 + rnd.nextInt(297)
+      (rnd.nextInt(800), v)
+    }
+    val g = BipartiteGraph.fromEdges(800, 300, es)
+    assert(g.nU + g.nV >= 1024)
+    val one = ReceiptLocal.run(g, cfg(6, t = 1))
+    val four = ReceiptLocal.run(g, cfg(6, t = 4))
+    assert(four.metrics.hucTriggers > 0, "expected HUC to fire on hub graph")
+    assert(one.tips.toSeq == four.tips.toSeq)
+    assert(four.tips.toSeq == BUP.run(g).tips.toSeq)
+    def work(m: ReceiptLocal.Metrics) =
+      (m.cntInitWedges, m.hucWedges, m.cdPeelWedges, m.fdWedges, m.rounds, m.hucTriggers, m.subsets)
+    assert(work(one.metrics) == work(four.metrics))
+  }
+
   test("DGM reduces (or preserves) wedge traversal") {
     val g = BipartiteGraph.random(300, 200, 5000, seed = 7)
     val withDgm = ReceiptLocal.run(g, cfg(5, huc = false, dgm = true))
