@@ -29,9 +29,10 @@ final case class ButterflyCounts(cntU: Array[Long], cntV: Array[Long], wedges: L
   * no per-start-vertex wedge list is materialized.
   *
   * `vertexPriorityLive` counts the subgraph induced by a mask of live U
-  * vertices straight from the full graph (RECEIPT's HUC re-count); it builds
-  * the same relabelled graph, and so yields the same counts and wedges, as
-  * `vertexPriority(g.filterU(aliveU))`.
+  * vertices straight from the full graph (RECEIPT's HUC re-counts in CD and
+  * FD); it builds the same relabelled graph, and so yields the same counts
+  * and wedges, as `vertexPriority(g.filterU(aliveU))`. Its arrays live in a
+  * caller-owned [[Workspace]], so a run of re-counts allocates them once.
   *
   * `bruteForce` enumerates same-side pair common-neighbour counts with
   * hashmaps — `O(Σ_v d_v²)` — and exists as an oracle for tests.
@@ -43,17 +44,45 @@ object ButterflyCounting {
   /** Below this many nodes a count runs on the calling thread. */
   private val ParallelMinNodes = 1024
 
-  /** The relabelled graph in the combined node space (`u` for U, `nU + v`
-    * for V, dead U vertices kept with no edges): `rank(node)` is the node's
-    * position in the degree-descending order and `off`/`adj` the CSR over
-    * ranks, each list ascending.
+  /** Scratch of vertex-priority counting on subgraphs of `g`, reused from one
+    * count to the next so a count allocates nothing: the relabelled graph in
+    * the combined node space (`u` for U, `nU + v` for V, dead U vertices kept
+    * with no edges; `rank(node)` is the node's position in the
+    * degree-descending order and `off`/`adj` the CSR over ranks, each list
+    * ascending), each worker's scratch and partial counts, and the result
+    * arrays. One caller owns a workspace; its counts run one at a time.
     */
-  private final class Ranked(val n: Int, val rank: Array[Int], val off: Array[Int], val adj: Array[Int])
+  final class Workspace(val g: BipartiteGraph, threads: Int = 1) {
+    val n: Int = g.nU + g.nV
+    /** Workers a count uses: 1 below `ParallelMinNodes` nodes. */
+    val workers: Int = if (threads <= 1 || n < ParallelMinNodes) 1 else threads
+    private[ButterflyCounting] val deg, order, rank, fill = new Array[Int](n)
+    private[ButterflyCounting] val off = new Array[Int](n + 1)
+    private[ButterflyCounting] val adj = new Array[Int](2 * g.m)
+    // live degrees never exceed g's, so one bucket array fits every count
+    private[ButterflyCounting] val start = new Array[Int](maxDegree(g) + 2)
+    private[ButterflyCounting] val wdg, nze = Array.fill(workers)(new Array[Int](n))
+    private[ButterflyCounting] val parts = Array.fill(workers)(new Array[Long](n))
+    private[ButterflyCounting] val cntU = new Array[Long](g.nU)
+    private[ButterflyCounting] val cntV = new Array[Long](g.nV)
+  }
 
-  private def ranked(g: BipartiteGraph, aliveU: Array[Boolean], parallel: Boolean, pool: ExecutorService): Ranked = {
+  private def maxDegree(g: BipartiteGraph): Int = {
+    var d = 0
+    var u = 0
+    while (u < g.nU) { d = math.max(d, g.degU(u)); u += 1 }
+    var v = 0
+    while (v < g.nV) { d = math.max(d, g.degV(v)); v += 1 }
+    d
+  }
+
+  /** Relabels the subgraph of `ws.g` induced by `aliveU` into `ws`. */
+  private def relabel(ws: Workspace, aliveU: Array[Boolean], pool: ExecutorService): Unit = {
+    val g = ws.g
     val nU = g.nU
-    val n = nU + g.nV
-    val deg = new Array[Int](n)
+    val n = ws.n
+    val deg = ws.deg
+    java.util.Arrays.fill(deg, 0)
     var u = 0
     while (u < nU) {
       if (aliveU(u)) {
@@ -68,16 +97,17 @@ object ButterflyCounting {
     while (x < n) { maxDeg = math.max(maxDeg, deg(x)); x += 1 }
     // degree descending, id ascending: a counting sort on maxDeg − deg,
     // which places ids in ascending order within each degree
-    val start = new Array[Int](maxDeg + 2)
+    val start = ws.start
+    java.util.Arrays.fill(start, 0, maxDeg + 2, 0)
     x = 0
     while (x < n) { start(maxDeg - deg(x) + 1) += 1; x += 1 }
     var b = 0
     while (b <= maxDeg) { start(b + 1) += start(b); b += 1 }
-    val order = new Array[Int](n)
+    val order = ws.order
     x = 0
     while (x < n) { val k = maxDeg - deg(x); order(start(k)) = x; start(k) += 1; x += 1 }
-    val rank = new Array[Int](n)
-    val off = new Array[Int](n + 1)
+    val rank = ws.rank
+    val off = ws.off
     var r = 0
     while (r < n) {
       val node = order(r)
@@ -88,8 +118,9 @@ object ButterflyCounting {
     // visiting nodes in rank order appends each list's entries in ascending
     // rank; U nodes fill the V nodes' lists and V nodes the U nodes' lists,
     // so the two scatters write disjoint entries and can run side by side
-    val adj = new Array[Int](off(n))
-    val fill = java.util.Arrays.copyOf(off, n)
+    val adj = ws.adj
+    val fill = ws.fill
+    System.arraycopy(off, 0, fill, 0, n)
     val fromU: Callable[Unit] = () => {
       var r = 0
       while (r < n) {
@@ -121,18 +152,17 @@ object ButterflyCounting {
         r += 1
       }
     }
-    if (parallel) pool.invokeAll(java.util.List.of(fromU, fromV)).asScala.foreach(_.get())
+    if (ws.workers > 1) pool.invokeAll(java.util.List.of(fromU, fromV)).asScala.foreach(_.get())
     else { fromU.call(); fromV.call() }
-    new Ranked(n, rank, off, adj)
   }
 
   /** One worker's share of alg. 1: claims chunks of start ranks from `next`
-    * and adds their butterflies to its own `cnt`. Returns wedges traversed.
+    * and adds their butterflies to its partial counts `ws.parts(w)`. Returns
+    * wedges traversed.
     */
-  private def countChunks(c: Ranked, next: AtomicInteger, chunk: Int, cnt: Array[Long]): Long = {
-    val off = c.off; val adj = c.adj; val n = c.n
-    val wdg = new Array[Int](n)
-    val nze = new Array[Int](n)
+  private def countChunks(ws: Workspace, w: Int, next: AtomicInteger, chunk: Int): Long = {
+    val off = ws.off; val adj = ws.adj; val n = ws.n
+    val wdg = ws.wdg(w); val nze = ws.nze(w); val cnt = ws.parts(w)
     var wedges = 0L
     var from = next.getAndAdd(chunk)
     while (from < n) {
@@ -187,32 +217,41 @@ object ButterflyCounting {
     wedges
   }
 
-  /** Alg. 1 on graph `g`, using up to `threads` worker threads. */
+  /** Alg. 1 on graph `g`, using up to `threads` worker threads. The counts
+    * are `g`'s own: they share no array with any other count.
+    */
   def vertexPriority(g: BipartiteGraph, threads: Int = 1): ButterflyCounts = {
-    val pool = Executors.newFixedThreadPool(math.max(1, threads)) // starts no thread until used
+    val ws = new Workspace(g, threads)
     val all = new Array[Boolean](g.nU)
     java.util.Arrays.fill(all, true)
-    try vertexPriorityLive(g, all, threads, pool)
-    finally pool.shutdown()
+    if (ws.workers == 1) vertexPriorityLive(ws, all, null)
+    else {
+      val pool = Executors.newFixedThreadPool(ws.workers)
+      try vertexPriorityLive(ws, all, pool)
+      finally pool.shutdown()
+    }
   }
 
-  /** Alg. 1 on the subgraph of `g` induced by the U vertices with
-    * `aliveU(u)` (dead ones count 0), as up to `threads` tasks on `pool`.
+  /** Alg. 1 on the subgraph of `ws.g` induced by the U vertices with
+    * `aliveU(u)` (dead ones count 0), as `ws.workers` tasks on `pool`; with
+    * one worker it runs on the calling thread and `pool` may be null. The
+    * result's arrays belong to `ws` and hold these counts only until its
+    * next count.
     */
-  def vertexPriorityLive(g: BipartiteGraph, aliveU: Array[Boolean], threads: Int,
-                         pool: ExecutorService): ButterflyCounts = {
-    val n = g.nU + g.nV
-    val workers = if (threads <= 1 || n < ParallelMinNodes) 1 else threads
-    val c = ranked(g, aliveU, workers > 1, pool)
+  def vertexPriorityLive(ws: Workspace, aliveU: Array[Boolean], pool: ExecutorService): ButterflyCounts = {
+    val n = ws.n
+    val workers = ws.workers
+    relabel(ws, aliveU, pool)
     // low ranks are hubs with few higher-priority endpoints, so work is
     // skewed towards high ranks: small chunks claimed on demand balance it
     val chunk = math.max(64, n / (16 * workers))
     val next = new AtomicInteger(0)
-    val parts = Array.fill(workers)(new Array[Long](n))
+    val parts = ws.parts
+    parts.foreach(java.util.Arrays.fill(_, 0L))
     val wedges =
-      if (workers == 1) countChunks(c, next, chunk, parts(0))
+      if (workers == 1) countChunks(ws, 0, next, chunk)
       else {
-        val tasks = parts.toSeq.map(p => new Callable[Long] { def call(): Long = countChunks(c, next, chunk, p) })
+        val tasks = (0 until workers).map(w => new Callable[Long] { def call(): Long = countChunks(ws, w, next, chunk) })
         pool.invokeAll(tasks.asJava).asScala.map(_.get()).sum
       }
     val cnt = parts(0)
@@ -223,12 +262,12 @@ object ButterflyCounting {
       while (r < n) { cnt(r) += p(r); r += 1 }
       t += 1
     }
-    val cntU = new Array[Long](g.nU)
-    val cntV = new Array[Long](g.nV)
+    val nU = ws.g.nU
+    val rank = ws.rank
     var x = 0
-    while (x < g.nU) { cntU(x) = cnt(c.rank(x)); x += 1 }
-    while (x < n) { cntV(x - g.nU) = cnt(c.rank(x)); x += 1 }
-    ButterflyCounts(cntU, cntV, wedges)
+    while (x < nU) { ws.cntU(x) = cnt(rank(x)); x += 1 }
+    while (x < n) { ws.cntV(x - nU) = cnt(rank(x)); x += 1 }
+    ButterflyCounts(ws.cntU, ws.cntV, wedges)
   }
 
   /** Oracle: counts via same-side pair common-neighbour enumeration.

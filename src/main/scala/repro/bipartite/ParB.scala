@@ -27,40 +27,21 @@ object ParB {
     while (u < g.nU) { requirePackable(counts.cntU(u), u); heap.push(pack(counts.cntU(u), u)); u += 1 }
 
     val tips = Array.fill[Long](g.nU)(-1L)
-    var remaining = g.nU
     var rounds = 0L
     var peelWedges = 0L
     val batch = new Array[Int](g.nU)
     val pool = Executors.newFixedThreadPool(threads)
-    try while (remaining > 0) {
-      // gather the batch: all live vertices at the current minimum support
-      // Supports only decrease and a vertex is re-pushed exactly when its
-      // support changes, so at most one entry per vertex matches its live
-      // support — stale entries are strictly larger and get discarded.
-      var nB = 0
-      var minSup = -1L
-      var gathering = true
-      while (gathering && !heap.isEmpty) {
-        val top = heap.peek
-        val cand = unpackId(top)
-        val cSup = unpackSup(top)
-        if (!st.alive(cand) || st.sup.get(cand) != cSup) { heap.pop(); () } // stale
-        else if (minSup < 0 || cSup == minSup) {
-          if (minSup < 0) minSup = cSup
-          heap.pop(); batch(nB) = cand; nB += 1
-        } else gathering = false
-      }
-      require(nB > 0, "heap exhausted with vertices remaining")
+    val push: Int => Unit = u => heap.push(pack(st.sup.get(u), u))
+    try while (st.aliveCount > 0) {
+      // all live vertices at the current minimum support
+      val nB = st.gatherMin(heap, batch)
+      val minSup = st.sup.get(batch(0))
       var i = 0
       while (i < nB) { tips(batch(i)) = minSup; st.markPeeled(batch(i)); i += 1 }
-      remaining -= nB
 
       // parallel update with a barrier per round, then push each distinct
       // updated vertex once with its settled support
-      val (w, touched) = st.peelBatch(batch, nB, minSup, pool)
-      peelWedges += w
-      var k = 0
-      while (k < touched.length) { heap.push(pack(st.sup.get(touched(k)), touched(k))); k += 1 }
+      peelWedges += st.peelBatch(batch, nB, minSup, pool, push)
       rounds += 1
     } finally pool.shutdown()
     val t2 = System.nanoTime()

@@ -2,7 +2,6 @@ package repro.bipartite
 
 import java.util.concurrent.{Callable, ExecutorService}
 import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLongArray}
-import scala.collection.mutable.ArrayBuilder
 import scala.jdk.CollectionConverters._
 
 /** Unboxed binary min-heap of packed longs. Peeling kernels pack
@@ -86,7 +85,8 @@ object Peeling {
   * provided each caller passes its own `wdg`/`touched` scratch. Callers must
   * mark the whole batch dead (`markPeeled`) before issuing updates so
   * intra-batch updates are skipped (they are irrelevant by lemma 2).
-  * [[peelBatch]] is that parallel round, split over `threads` workers.
+  * [[peelBatch]] is that round, split over `threads` workers, and
+  * [[gatherMin]] gathers a minimum-support batch from a lazy heap.
   */
 final class PeelState(val g: BipartiteGraph, enableDGM: Boolean, threads: Int = 1) {
   import Peeling._
@@ -119,7 +119,8 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean, threads: Int = 
   /** Stored traversal cost of peeling `u` now: Σ_{v∈N_u} storedLen(v). */
   def storedPeelCost(u: Int): Long = {
     var s = 0L
-    g.foreachNbrU(u)(v => s += vLen(v))
+    var i = g.uOff(u)
+    while (i < g.uOff(u + 1)) { s += vLen(g.uAdj(i)); i += 1 }
     s
   }
 
@@ -197,50 +198,111 @@ final class PeelState(val g: BipartiteGraph, enableDGM: Boolean, threads: Int = 
   private lazy val scratchW = Array.fill(threads)(new Array[Int](g.nU))
   private lazy val scratchT = Array.fill(threads)(new Array[Int](g.nU))
   private lazy val touchedFlag = new Array[Boolean](g.nU)
+  // per chunk of a round: the vertices whose support changed, repeats
+  // included; kept from round to round, so a round allocates no list
+  private lazy val changed = Array.fill(threads)(new Array[Int](16))
+  private val changedLen = new Array[Int](threads)
 
-  /** One synchronization round of batch peeling (ParB's round and CD's range
-    * peel): `update` for `batch(0 until n)`, split into `threads` chunks on
-    * `pool`, each with its own scratch, all decrements capped at `floor`.
-    * The batch must already be marked peeled. Charges the round's wedges to
-    * DGM and returns them with the distinct vertices whose support changed.
-    * Capped decrements commute, so neither supports nor wedges depend on the
-    * order or the chunking of the batch.
+  private def addChanged(t: Int, u: Int): Unit = {
+    if (changedLen(t) == changed(t).length) changed(t) = java.util.Arrays.copyOf(changed(t), 2 * changed(t).length)
+    changed(t)(changedLen(t)) = u
+    changedLen(t) += 1
+  }
+
+  /** Restricts the live set to `members`, as if every other vertex had been
+    * peeled: the live count and the live V degrees count members only.
     */
-  def peelBatch(batch: Array[Int], n: Int, floor: Long, pool: ExecutorService): (Long, Array[Int]) = {
-    val chunk = math.max(1, (n + threads - 1) / threads)
-    // ofInt builders fed through addOne(Int), so touched ids are not boxed
-    val touched = Array.fill(threads)(new ArrayBuilder.ofInt)
-    val tasks = (0 until threads).filter(_ * chunk < n).map { t =>
-      new Callable[Long] {
-        def call(): Long = {
-          var w = 0L
-          var k = t * chunk
-          val until = math.min(n, k + chunk)
-          val buf = touched(t)
-          while (k < until) {
-            w += update(batch(k), floor, scratchW(t), scratchT(t), (u2, _) => buf.addOne(u2))
-            k += 1
-          }
-          w
-        }
+  def keepOnly(members: Array[Int]): Unit = {
+    java.util.Arrays.fill(alive, false)
+    members.foreach(alive(_) = true)
+    aliveCount = members.length
+    var u = 0
+    while (u < g.nU) {
+      if (!alive(u)) {
+        var i = g.uOff(u)
+        while (i < g.uOff(u + 1)) { curDegV.decrementAndGet(g.uAdj(i)); i += 1 }
       }
+      u += 1
     }
-    val wedges = pool.invokeAll(tasks.asJava).asScala.map(_.get()).sum
-    chargeWedges(wedges)
-    val distinct = new ArrayBuilder.ofInt
-    for (buf <- touched) {
-      val ts = buf.result()
-      var k = 0
-      while (k < ts.length) {
-        val u2 = ts(k)
-        if (!touchedFlag(u2)) { touchedFlag(u2) = true; distinct.addOne(u2) }
+  }
+
+  /** Pops `heap` down to the live vertices at the minimum support and writes
+    * them to `batch`; returns how many (their support is `sup.get(batch(0))`).
+    * The heap holds one entry `pack(sup, u)` for each live `u`'s current
+    * support, plus stale entries of peeled vertices and superseded supports,
+    * which are dropped; supports only decrease, so a stale entry never
+    * matches a live support. Stops as soon as the batch holds every live
+    * vertex, so the stale tail the heap keeps after the last batch is never
+    * drained.
+    */
+  def gatherMin(heap: LongMinHeap, batch: Array[Int]): Int = {
+    var nB = 0
+    var minSup = -1L
+    var gathering = true
+    while (gathering && nB < aliveCount && !heap.isEmpty) {
+      val top = heap.peek
+      val u = unpackId(top)
+      val s = unpackSup(top)
+      if (!alive(u) || sup.get(u) != s) heap.pop()
+      else if (nB == 0 || s == minSup) { minSup = s; heap.pop(); batch(nB) = u; nB += 1 }
+      else gathering = false
+    }
+    require(nB > 0, "heap exhausted with vertices remaining")
+    nB
+  }
+
+  /** One synchronization round of batch peeling (ParB's round, CD's range
+    * peel and the level batches of [[BUP.peel]]): `update` for
+    * `batch(0 until n)`, split into at most `threads` chunks, each with its
+    * own scratch, all decrements capped at `floor`. One chunk runs on the
+    * calling thread, more run on `pool` (which may be null when `threads`
+    * is 1). The batch must already be marked peeled. Charges the round's
+    * wedges to DGM and returns them; then calls `onChanged` (unless null)
+    * once for each distinct vertex whose support changed, when every
+    * support has settled. Capped decrements commute, so neither supports
+    * nor wedges depend on the order or the chunking of the batch.
+    */
+  def peelBatch(batch: Array[Int], n: Int, floor: Long, pool: ExecutorService, onChanged: Int => Unit): Long = {
+    val chunk = math.max(1, (n + threads - 1) / threads)
+    val chunks = math.max(1, (n + chunk - 1) / chunk)
+    def part(t: Int): Long = {
+      changedLen(t) = 0
+      val note: (Int, Long) => Unit = if (onChanged == null) null else (u2, _) => addChanged(t, u2)
+      var w = 0L
+      var k = t * chunk
+      val until = math.min(n, k + chunk)
+      while (k < until) {
+        w += update(batch(k), floor, scratchW(t), scratchT(t), note)
         k += 1
       }
+      w
     }
-    val out = distinct.result()
-    var k = 0
-    while (k < out.length) { touchedFlag(out(k)) = false; k += 1 }
-    (wedges, out)
+    val wedges =
+      if (chunks == 1) part(0)
+      else pool.invokeAll((0 until chunks).map(t => new Callable[Long] { def call(): Long = part(t) }).asJava)
+        .asScala.map(_.get()).sum
+    chargeWedges(wedges)
+    if (onChanged != null) {
+      var t = 0
+      while (t < chunks) {
+        val us = changed(t)
+        var k = 0
+        while (k < changedLen(t)) {
+          val u2 = us(k)
+          if (!touchedFlag(u2)) { touchedFlag(u2) = true; onChanged(u2) }
+          k += 1
+        }
+        t += 1
+      }
+      t = 0
+      while (t < chunks) {
+        val us = changed(t)
+        var k = 0
+        while (k < changedLen(t)) { touchedFlag(us(k)) = false; k += 1 }
+        t += 1
+      }
+    }
+    wedges
   }
 
   /** Charge `w` traversed wedges against the DGM budget and compact the

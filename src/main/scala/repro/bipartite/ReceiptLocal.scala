@@ -16,10 +16,13 @@ import scala.jdk.CollectionConverters._
   *    computing updates and butterflies are re-counted on the live subgraph.
   *  - **DGM**: V-adjacency compaction amortized against traversed wedges
   *    (see [[PeelState.chargeWedges]]).
-  *  - **FD** peels each subset exactly with sequential [[BUP.peel]] on the
-  *    subgraph induced by `(U_i, V)`, supports seeded from `⋈^init`;
-  *    subsets are scheduled LPT-style (sorted by wedge-count proxy,
-  *    descending) onto a task queue drained by `threads` workers.
+  *  - **FD** peels each subset exactly, on one thread, with [[BUP.peel]] on
+  *    the subgraph induced by `(U_i, V)`, supports seeded from `⋈^init`:
+  *    every live vertex at the minimum support leaves in one level batch,
+  *    and HUC applies per batch, with a re-count that keeps the butterflies
+  *    shared with later subsets (see [[BUP.peel]]). Subsets are scheduled
+  *    LPT-style (sorted by wedge-count proxy, descending) onto a task queue
+  *    drained by `threads` workers.
   */
 object ReceiptLocal {
 
@@ -84,15 +87,17 @@ object ReceiptLocal {
     * with DGM, HUC re-counts run [[ButterflyCounting.vertexPriorityLive]] on
     * the live mask, and HUC's peel cost is the stored traversal cost (stale
     * entries included when DGM is off). The initial count, the peel rounds
-    * and the re-counts all run on one pool of `threads` workers.
+    * and the re-counts all run on one pool of `threads` workers, and the
+    * counts share one counting workspace.
     */
   def coarseDecomposition(g: BipartiteGraph, cfg: Config): CDResult = {
     val pool = Executors.newFixedThreadPool(math.max(1, cfg.threads))
     try {
       val st = new PeelState(g, cfg.enableDGM, cfg.threads)
+      val ws = new ButterflyCounting.Workspace(g, cfg.threads)
       val t0 = System.nanoTime()
       // nothing is peeled yet, so this counts the whole graph
-      val counts = ButterflyCounting.vertexPriorityLive(g, st.alive, cfg.threads, pool)
+      val counts = ButterflyCounting.vertexPriorityLive(ws, st.alive, pool)
       val cntTimeMs = (System.nanoTime() - t0) / 1e6
       st.setSupports(counts.cntU)
       val local = new CoarseDecomposition.Rounds {
@@ -101,9 +106,9 @@ object ReceiptLocal {
           active.foreach(u => s += st.storedPeelCost(u))
           s
         }
-        def peel(active: Array[Int], floor: Long): Long = st.peelBatch(active, active.length, floor, pool)._1
+        def peel(active: Array[Int], floor: Long): Long = st.peelBatch(active, active.length, floor, pool, null)
         def recount(active: Array[Int]): (Array[Long], Long) = {
-          val rc = ButterflyCounting.vertexPriorityLive(g, st.alive, cfg.threads, pool)
+          val rc = ButterflyCounting.vertexPriorityLive(ws, st.alive, pool)
           (rc.cntU, rc.wedges)
         }
       }
@@ -116,8 +121,10 @@ object ReceiptLocal {
   /** Alg. 4: subsets are tasks on a pool of `threads` workers, submitted in
     * LPT order of the CD wedge proxy (the pool's queue is FIFO, so each idle
     * worker takes the largest remaining subset); each task induces the
-    * subgraph on `(U_i, V)` and runs exact sequential BUP seeded from
-    * `⋈^init`. Returns tips and FD wedges; a failed task fails the call.
+    * subgraph on `(U_i, V)` and peels it exactly on one thread with
+    * [[BUP.peel]] seeded from `⋈^init`: level batches, with HUC re-counts
+    * when `cfg.enableHUC`. Returns tips and FD wedges (re-counts included);
+    * a failed task fails the call.
     */
   def fineDecomposition(g: BipartiteGraph, cd: CDResult, cfg: Config): (Array[Long], Long) = {
     val tips = Array.fill[Long](g.nU)(-1L)
@@ -133,7 +140,7 @@ object ReceiptLocal {
           else {
             val aliveMask = new Array[Boolean](g.nU)
             ms.foreach(aliveMask(_) = true)
-            val r = BUP.peel(g.filterU(aliveMask), cd.supInit, ms, enableDGM = cfg.enableDGM)
+            val r = BUP.peel(g.filterU(aliveMask), cd.supInit, ms, cfg.enableDGM, cfg.enableHUC)
             ms.foreach(u0 => tips(u0) = r.tips(u0)) // subsets are disjoint
             r.metrics.peelWedges
           }

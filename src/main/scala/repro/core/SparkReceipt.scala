@@ -28,9 +28,10 @@ import repro.bipartite.{BipartiteGraph, BUP, CoarseDecomposition, PeelState, Rec
   *    the Chiba–Nishizeki re-count bound, the round instead re-counts
   *    butterflies with [[SparkButterfly]] on the live edge set.
   *  - **FD subset → one `flatMapGroups` task.** Each subset's induced
-  *    subgraph is grouped to a single task that runs the *exact* sequential
-  *    peel ([[BUP.peel]]) seeded from `⋈^init` — the paper's
-  *    one-thread-per-subset task queue, scheduled by Spark.
+  *    subgraph is grouped to a single task that runs the *exact*
+  *    one-thread peel ([[BUP.peel]]: level batches, HUC re-counts when
+  *    `enableHUC`) seeded from `⋈^init` — the paper's one-thread-per-subset
+  *    task queue, scheduled by Spark.
   */
 object SparkReceipt {
 
@@ -86,9 +87,10 @@ object SparkReceipt {
       .select(col("subset").cast("int") as "subset", col("u"), col("v"), col("supInit"))
       .as[(Int, Long, Long, Long)]
 
+    val huc = cfg.enableHUC
     val fdRows = induced
       .groupByKey(_._1)
-      .flatMapGroups((_, rows) => peelSubsetTask(rows))
+      .flatMapGroups((_, rows) => peelSubsetTask(rows, huc))
       .collect()
 
     val tips = Array.fill[Long](nU)(-1L)
@@ -107,11 +109,12 @@ object SparkReceipt {
     Result(tips, ReceiptLocal.metrics(cd, fdWedges, (System.nanoTime() - tFd0) / 1e6))
   }
 
-  /** FD executor task: exact sequential BUP on one subset's induced
-    * subgraph, supports seeded from `⋈^init`. Emits `(u, θ_u, wedgeShare)`
-    * rows where the subset's FD wedge count rides on the first row.
+  /** FD executor task: the exact peel of [[BUP.peel]] on one subset's
+    * induced subgraph, supports seeded from `⋈^init`. Emits
+    * `(u, θ_u, wedgeShare)` rows where the subset's FD wedge count rides on
+    * the first row.
     */
-  private def peelSubsetTask(rows: Iterator[(Int, Long, Long, Long)]): Iterator[(Long, Long, Long)] = {
+  private def peelSubsetTask(rows: Iterator[(Int, Long, Long, Long)], enableHUC: Boolean): Iterator[(Long, Long, Long)] = {
     val buf = rows.toArray
     if (buf.isEmpty) Iterator.empty
     else {
@@ -124,7 +127,7 @@ object SparkReceipt {
       val init = new Array[Long](us.length)
       buf.foreach(r => init(uIdx(r._2)) = r._4)
       val members = Array.tabulate(us.length)(identity)
-      val r = BUP.peel(g, init, members, enableDGM = true)
+      val r = BUP.peel(g, init, members, enableDGM = true, enableHUC)
       members.iterator.map { lu =>
         (us(lu), r.tips(lu), if (lu == 0) r.metrics.peelWedges else 0L)
       }

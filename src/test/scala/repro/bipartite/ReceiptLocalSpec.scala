@@ -155,6 +155,19 @@ class ReceiptLocalSpec extends AnyFunSuite {
       s"ρ_RECEIPT=${rec.metrics.rounds} ρ_ParB=${parb.metrics.rounds}")
   }
 
+  test("paper shape on a scaled-down high-r graph: Λ_RECEIPT < Λ_BUP, ρ_RECEIPT ≤ ρ_ParB / 10") {
+    // Tr-lite's degree skew at a tenth of its size
+    val g = repro.BipartiteGen.generate(repro.BipartiteGen.byName("Tr").copy(nU = 5200, nV = 2400, targetM = 22000))
+    val bup = BUP.run(g)
+    val parb = ParB.run(g, threads = 4)
+    val rec = ReceiptLocal.run(g, cfg(15))
+    assert(rec.tips.toSeq == bup.tips.toSeq)
+    assert(rec.metrics.totalWedges < bup.metrics.totalWedges,
+      s"Λ_RECEIPT=${rec.metrics.totalWedges} Λ_BUP=${bup.metrics.totalWedges}")
+    assert(rec.metrics.rounds * 10 <= parb.metrics.rounds,
+      s"ρ_RECEIPT=${rec.metrics.rounds} ρ_ParB=${parb.metrics.rounds}")
+  }
+
   test("FD traverses only induced-subgraph wedges (fewer than CD)") {
     val g = BipartiteGraph.random(200, 150, 3000, seed = 41)
     val rec = ReceiptLocal.run(g, cfg(8, huc = false))
@@ -173,6 +186,78 @@ class ReceiptLocalSpec extends AnyFunSuite {
     val r = ReceiptLocal.run(g, cfg(1))
     assert(r.tips.toSeq == BUP.run(g).tips.toSeq)
     assert(r.cd.subsets <= 2)
+  }
+
+  /** Three V hubs carry 85% of the edges, so peeling costs far more than
+    * counting: HUC fires in CD and in FD, and CD (P = 15) makes 3 subsets.
+    */
+  private lazy val hubGraph: BipartiteGraph = {
+    val rnd = new java.util.Random(7)
+    val es = (0 until 6000).map { _ =>
+      val v = if (rnd.nextDouble() < 0.85) rnd.nextInt(3) else 3 + rnd.nextInt(197)
+      (rnd.nextInt(800), v)
+    }
+    BipartiteGraph.fromEdges(800, 200, es)
+  }
+
+  private def subsetMembers(cd: ReceiptLocal.CDResult): Array[Array[Int]] =
+    Array.tabulate(cd.subsets)(i => cd.subsetOf.indices.filter(cd.subsetOf(_) == i).toArray)
+
+  private def inducedBy(g: BipartiteGraph, ms: Array[Int]): BipartiteGraph = {
+    val mask = new Array[Boolean](g.nU)
+    ms.foreach(mask(_) = true)
+    g.filterU(mask)
+  }
+
+  test("FD's HUC re-count is exact on subsets that are not the last") {
+    val g = hubGraph
+    val bup = BUP.run(g).tips
+    for (dgm <- Seq(false, true)) {
+      val cd = ReceiptLocal.coarseDecomposition(g, cfg(15, dgm = dgm))
+      assert(cd.subsets >= 3)
+      val saved = subsetMembers(cd).zipWithIndex.map { case (ms, i) =>
+        val induced = inducedBy(g, ms)
+        val huc = BUP.peel(induced, cd.supInit, ms, dgm, enableHUC = true)
+        val plain = BUP.peel(induced, cd.supInit, ms, dgm, enableHUC = false)
+        for (u <- ms) {
+          assert(huc.tips(u) == plain.tips(u), s"DGM=$dgm subset $i u=$u")
+          assert(huc.tips(u) == bup(u), s"DGM=$dgm subset $i u=$u")
+        }
+        huc.metrics.peelWedges < plain.metrics.peelWedges
+      }
+      assert(saved.init.contains(true), s"DGM=$dgm: HUC saved no wedges before the last subset")
+    }
+  }
+
+  test("fineDecomposition's tips and wedges equal a per-subset filterU + BUP.peel replay") {
+    val g = hubGraph
+    for (huc <- Seq(false, true); dgm <- Seq(false, true)) {
+      val c = cfg(15, huc, dgm)
+      val cd = ReceiptLocal.coarseDecomposition(g, c)
+      val (tips, fdWedges) = ReceiptLocal.fineDecomposition(g, cd, c)
+      val replayTips = Array.fill(g.nU)(-1L)
+      var replayWedges = 0L
+      for (ms <- subsetMembers(cd)) {
+        val r = BUP.peel(inducedBy(g, ms), cd.supInit, ms, dgm, huc)
+        ms.foreach(u => replayTips(u) = r.tips(u))
+        replayWedges += r.metrics.peelWedges
+      }
+      assert(tips.toSeq == replayTips.toSeq, s"HUC=$huc DGM=$dgm")
+      assert(fdWedges == replayWedges, s"HUC=$huc DGM=$dgm")
+    }
+  }
+
+  test("cnt + HUC + CD + FD wedges of the layers called one by one equal Metrics.totalWedges") {
+    val g = hubGraph
+    for (huc <- Seq(false, true); dgm <- Seq(false, true)) {
+      val c = cfg(15, huc, dgm)
+      val run = ReceiptLocal.run(g, c)
+      val cnt = ButterflyCounting.vertexPriority(g, c.threads).wedges
+      val cd = ReceiptLocal.coarseDecomposition(g, c)
+      val (_, fd) = ReceiptLocal.fineDecomposition(g, cd, c)
+      assert(cnt + cd.hucWedges + cd.peelWedges + fd == run.metrics.totalWedges, s"HUC=$huc DGM=$dgm")
+      assert(fd == run.metrics.fdWedges, s"HUC=$huc DGM=$dgm")
+    }
   }
 
   test("a failing FD task fails fineDecomposition instead of leaving tips at -1") {
